@@ -107,7 +107,9 @@ pub(crate) enum NonceEntry {
     /// the outcome when it finishes.
     Inflight(Vec<ReplyFn>),
     /// The job finished; the recorded reply is replayed verbatim.
-    Done(Response),
+    /// Boxed so each table slot stays three words wide: a `Response`
+    /// is ~170 bytes inline, and the table holds thousands of entries.
+    Done(Box<Response>),
 }
 
 /// In-memory idempotency index, FIFO-bounded on completed entries.
@@ -232,7 +234,7 @@ impl ServerState {
             None => NonceGate::New(waiter),
             Some(NonceEntry::Done(response)) => {
                 self.deduped.fetch_add(1, Ordering::Relaxed);
-                NonceGate::Replayed(response.clone())
+                NonceGate::Replayed(Response::clone(response))
             }
             Some(NonceEntry::Inflight(waiters)) => {
                 self.deduped.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +285,7 @@ impl ServerState {
         let mut table = self.nonces.lock().expect("nonce lock");
         let waiters = match table
             .entries
-            .insert(nonce, NonceEntry::Done(response.clone()))
+            .insert(nonce, NonceEntry::Done(Box::new(response.clone())))
         {
             Some(NonceEntry::Inflight(waiters)) => waiters,
             _ => Vec::new(),

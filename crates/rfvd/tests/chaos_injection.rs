@@ -5,15 +5,22 @@
 //! and a [`ResilientClient`] rides out a socket-level fault storm
 //! without losing or double-running a single job.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
 use rfvd::chaos::ChaosPlan;
-use rfvd::client::{Client, ResilientClient, RetryPolicy};
+use rfvd::client::{ResilientClient, RetryPolicy};
 use rfvd::proto::{ErrorCode, JobRequest, Priority, Response};
 use rfvd::server::{serve, ServerConfig, ServerHandle};
 
 const QUICK_SPEC: &str = "synth:regs=24,trips=2,rep=4";
 const LONG_SPEC: &str = "synth:regs=24,trips=300,tpc=128,ctas=2,conc=2";
+/// The drain test's in-flight job. `LONG_SPEC` finishes in ~11 ms in a
+/// release build, so the 10 ms stats poll could miss it entirely and
+/// wait out [`DEADLINE`]; ten times the trips keeps it observably
+/// running (~0.1 s release, ~2 s debug).
+const DRAIN_SPEC: &str = "synth:regs=24,trips=3000,tpc=128,ctas=2,conc=2";
 const DEADLINE: Duration = Duration::from_secs(60);
 
 fn req(spec: &str, priority: Priority) -> JobRequest {
@@ -51,7 +58,7 @@ fn disk_brownout_sheds_normal_keeps_high_and_heals() {
         chaos: ChaosPlan::parse("disk_eio:1.0", 7).unwrap(),
         ..ServerConfig::default()
     });
-    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let mut client = common::connect(handle.local_addr());
 
     // every journal write fails: normal submissions come back with a
     // typed retry-after carrying a backoff hint, never a hang or a
@@ -109,7 +116,7 @@ fn queue_brownout_enters_on_overflow_and_exits_with_hysteresis() {
     let runners: Vec<_> = (0..16)
         .map(|_| {
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
+                let mut c = common::connect(addr);
                 for _ in 0..2 {
                     // any typed outcome is legal under overload; what
                     // is not legal is a hang or an untyped error
@@ -128,7 +135,7 @@ fn queue_brownout_enters_on_overflow_and_exits_with_hysteresis() {
             })
         })
         .collect();
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = common::connect(addr);
     wait_until("the queue to overflow", || {
         client.stats().unwrap().brownouts >= 1
     });
@@ -179,10 +186,10 @@ fn draining_daemon_rejects_with_a_hinted_shutting_down() {
     // keep one job in flight so the drain has something to wait for
     // (a drained-empty daemon closes its connections immediately)
     let runner = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.submit(&req(LONG_SPEC, Priority::Normal)).unwrap()
+        let mut c = common::connect(addr);
+        c.submit(&req(DRAIN_SPEC, Priority::Normal)).unwrap()
     });
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = common::connect(addr);
     wait_until("the long job to start", || {
         client.stats().unwrap().active >= 1
     });
@@ -204,7 +211,7 @@ fn draining_daemon_rejects_with_a_hinted_shutting_down() {
 #[test]
 fn duplicate_nonce_replays_the_recorded_reply() {
     let handle = serve_with(ServerConfig::default());
-    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let mut client = common::connect(handle.local_addr());
 
     let mut job = req(QUICK_SPEC, Priority::Normal);
     job.nonce = 0x5eed_cafe;
@@ -246,7 +253,7 @@ fn inflight_duplicate_attaches_and_both_submitters_get_the_result() {
         .map(|_| {
             let job = job.clone();
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
+                let mut c = common::connect(addr);
                 c.submit(&job).unwrap()
             })
         })
@@ -260,7 +267,7 @@ fn inflight_duplicate_attaches_and_both_submitters_get_the_result() {
     }
     assert_eq!(results[0].stats_json, results[1].stats_json);
     assert_eq!(results[0].cycles, results[1].cycles);
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let stats = probe.stats().unwrap();
     assert_eq!(stats.completed, 1, "one run served both submitters");
     assert_eq!(stats.deduped, 1);

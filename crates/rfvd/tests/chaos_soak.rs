@@ -4,6 +4,8 @@
 //! multiple storm seeds, and even when the daemon is SIGKILLed and
 //! restarted mid-storm while clients are still retrying.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -11,7 +13,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use rfvd::chaos::ChaosPlan;
-use rfvd::client::{Client, ResilientClient, RetryPolicy};
+use rfvd::client::{ResilientClient, RetryPolicy};
 use rfvd::proto::{JobRequest, Response};
 use rfvd::server::{serve, ServerConfig};
 
@@ -39,7 +41,7 @@ fn storm_policy() -> RetryPolicy {
 /// The fault-free reference result every chaos run must reproduce.
 fn reference_result() -> rfvd::proto::JobResult {
     let clean = serve(ServerConfig::default()).expect("serve clean");
-    let mut c = Client::connect(clean.local_addr()).unwrap();
+    let mut c = common::connect(clean.local_addr());
     let result = match c.submit(&req(QUICK_SPEC)).unwrap() {
         Response::Result(r) => r,
         other => panic!("reference submit: {other:?}"),
@@ -203,7 +205,7 @@ fn sigkill_mid_storm_loses_no_accepted_job() {
     // quarantined and their jobs rerun, after which every retained
     // job has a decodable .done twin with the reference result
     let daemon = Daemon::spawn(&spool, port, None);
-    let mut probe = Client::connect(daemon.addr).unwrap();
+    let mut probe = common::connect(daemon.addr);
     let deadline = Instant::now() + DEADLINE;
     loop {
         let stats = probe.stats().unwrap();

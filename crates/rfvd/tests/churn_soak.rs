@@ -11,6 +11,8 @@
 //! assertions read `/proc/self/status`, and sibling tests running in
 //! the same process would pollute the measurement.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
 use rfvd::client::Client;
@@ -54,7 +56,7 @@ fn connection_churn_and_idle_clients_leave_thread_count_flat() {
     })
     .expect("bind test server");
     let addr = server.local_addr();
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let baseline = thread_count();
 
     // churn: every connection submits one tiny job and hangs up
@@ -64,7 +66,7 @@ fn connection_churn_and_idle_clients_leave_thread_count_flat() {
         ..JobRequest::default()
     };
     for _ in 0..CHURNED {
-        let mut c = Client::connect(addr).unwrap();
+        let mut c = common::connect(addr);
         match c.submit(&tiny) {
             Ok(Response::Result(_)) => {}
             other => panic!("churned submit failed: {other:?}"),
@@ -72,7 +74,7 @@ fn connection_churn_and_idle_clients_leave_thread_count_flat() {
     }
 
     // idle load: connections that send nothing at all
-    let idles: Vec<Client> = (0..IDLE).map(|_| Client::connect(addr).unwrap()).collect();
+    let idles: Vec<Client> = (0..IDLE).map(|_| common::connect(addr)).collect();
     wait_until("idle connections to register", || {
         probe.stats().unwrap().conns_open == (IDLE + 1) as u64
     });

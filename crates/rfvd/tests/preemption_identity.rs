@@ -8,6 +8,8 @@
 //!   high-priority traffic returns the same stats-json bytes as the
 //!   same job run without interference.
 
+mod common;
+
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -15,7 +17,6 @@ use std::time::{Duration, Instant};
 use rfv_bench::harness::machine_config;
 use rfv_sim::{simulate_traced, PredecodedKernel, SimConfig, SlicedSim};
 use rfvd::cache::compile_flavored;
-use rfvd::client::Client;
 use rfvd::proto::{JobRequest, Priority, Response};
 use rfvd::result_stats_json;
 use rfvd::server::{serve, ServerConfig};
@@ -83,7 +84,7 @@ fn preempted_daemon_job_matches_uninterrupted_run_bytewise() {
             ..JobRequest::default()
         };
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             match c.submit(&req) {
                 Ok(Response::Result(r)) => r,
                 other => panic!("victim job failed: {other:?}"),
@@ -92,13 +93,13 @@ fn preempted_daemon_job_matches_uninterrupted_run_bytewise() {
     };
 
     // pummel it with high-priority jobs until it has been preempted
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let deadline = Instant::now() + Duration::from_secs(10);
     while probe.stats().unwrap().active < 1 {
         assert!(Instant::now() < deadline, "victim never started");
         thread::sleep(Duration::from_millis(1));
     }
-    let mut high = Client::connect(addr).unwrap();
+    let mut high = common::connect(addr);
     let high_req = JobRequest {
         spec: "synth:regs=10,trips=1,tpc=32,ctas=1,conc=1".into(),
         num_sms: 1,

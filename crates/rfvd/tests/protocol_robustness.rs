@@ -3,6 +3,8 @@
 //! and mid-frame disconnects all yield typed errors (or a clean
 //! close) while the server keeps serving other connections.
 
+mod common;
+
 use rfv_trace::wire::fnv1a;
 use rfvd::client::{Client, ClientError};
 use rfvd::proto::{ErrorCode, JobRequest, Request, Response, JOB_MAGIC, JOB_VERSION, MAX_PAYLOAD};
@@ -59,7 +61,7 @@ fn expect_closed(client: &mut Client) {
 #[test]
 fn bad_magic_is_typed_and_closes_the_stream() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     let p = raw_envelope(*b"rfv-nope", JOB_VERSION, 1, &[]);
     c.send_raw(&frame(&p)).unwrap();
     expect_error(&mut c, ErrorCode::BadMagic);
@@ -71,7 +73,7 @@ fn bad_magic_is_typed_and_closes_the_stream() {
 #[test]
 fn bad_version_keeps_the_connection_usable() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     let p = raw_envelope(JOB_MAGIC, JOB_VERSION + 7, 1, &[]);
     c.send_raw(&frame(&p)).unwrap();
     expect_error(&mut c, ErrorCode::BadVersion);
@@ -87,7 +89,7 @@ fn bad_version_keeps_the_connection_usable() {
 #[test]
 fn corrupt_checksum_is_typed_and_closes_the_stream() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     let mut p = Request::Submit(quick_job()).encode();
     let mid = p.len() / 2;
     p[mid] ^= 0x40;
@@ -101,7 +103,7 @@ fn corrupt_checksum_is_typed_and_closes_the_stream() {
 #[test]
 fn oversized_length_prefix_is_typed_and_closes_the_stream() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     // a hostile length prefix; no payload bytes ever follow
     c.send_raw(&((MAX_PAYLOAD as u32 + 1).to_le_bytes()))
         .unwrap();
@@ -114,7 +116,7 @@ fn oversized_length_prefix_is_typed_and_closes_the_stream() {
 #[test]
 fn truncated_envelope_is_malformed_not_a_hang() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     // a full frame whose payload is shorter than any valid envelope
     c.send_raw(&frame(b"rfv")).unwrap();
     expect_error(&mut c, ErrorCode::Malformed);
@@ -125,7 +127,7 @@ fn truncated_envelope_is_malformed_not_a_hang() {
 #[test]
 fn trailing_garbage_in_body_is_malformed_and_recoverable() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     let valid = Request::Submit(quick_job()).encode();
     // re-envelope the body with extra bytes appended
     let body_start = 8 + 4 + 1;
@@ -147,7 +149,7 @@ fn trailing_garbage_in_body_is_malformed_and_recoverable() {
 fn mid_frame_disconnect_leaves_the_server_serving_others() {
     let server = test_server();
     // connection A sends half a frame and vanishes
-    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut a = common::connect(server.local_addr());
     let payload = Request::Submit(quick_job()).encode();
     let mut partial = frame(&payload);
     partial.truncate(partial.len() / 2);
@@ -155,7 +157,7 @@ fn mid_frame_disconnect_leaves_the_server_serving_others() {
     a.shutdown().unwrap();
     drop(a);
     // connection B is unaffected
-    let mut b = Client::connect(server.local_addr()).unwrap();
+    let mut b = common::connect(server.local_addr());
     match b.submit(&quick_job()) {
         Ok(Response::Result(r)) => assert!(r.cycles > 0),
         other => panic!("submit on a healthy connection failed: {other:?}"),
@@ -167,8 +169,8 @@ fn mid_frame_disconnect_leaves_the_server_serving_others() {
 #[test]
 fn poisoned_connection_does_not_poison_neighbors() {
     let server = test_server();
-    let mut victim = Client::connect(server.local_addr()).unwrap();
-    let mut healthy = Client::connect(server.local_addr()).unwrap();
+    let mut victim = common::connect(server.local_addr());
+    let mut healthy = common::connect(server.local_addr());
     let p = raw_envelope(*b"BADBADBA", JOB_VERSION, 1, &[]);
     victim.send_raw(&frame(&p)).unwrap();
     expect_error(&mut victim, ErrorCode::BadMagic);
@@ -184,7 +186,7 @@ fn poisoned_connection_does_not_poison_neighbors() {
 #[test]
 fn semantic_rejections_are_typed_and_keep_serving() {
     let server = test_server();
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     for (req, code) in [
         (
             JobRequest {

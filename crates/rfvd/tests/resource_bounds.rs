@@ -3,6 +3,8 @@
 //! and a client with a deadline gets a typed timeout from a stalled
 //! daemon instead of hanging forever.
 
+mod common;
+
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -37,8 +39,8 @@ fn bounded_cache_evicts_lru_and_rebuilds_byte_identical() {
         ..ServerConfig::default()
     })
     .expect("bind test server");
-    let mut c = Client::connect(server.local_addr()).unwrap();
-    let mut probe = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
+    let mut probe = common::connect(server.local_addr());
 
     let a = req("synth:regs=12,trips=2,tpc=32,ctas=1,conc=1");
     let b = req("synth:regs=16,trips=2,tpc=32,ctas=1,conc=1");
@@ -86,7 +88,7 @@ fn stalled_daemon_times_out_instead_of_hanging() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
-    let mut c = Client::connect(addr).unwrap();
+    let mut c = common::connect(addr);
     c.set_timeout(Some(Duration::from_millis(100))).unwrap();
     let started = std::time::Instant::now();
     match c.submit(&req("synth:regs=10,trips=1,tpc=32,ctas=1,conc=1")) {

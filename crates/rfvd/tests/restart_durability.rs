@@ -9,6 +9,8 @@
 //! because the property under test is crash recovery of the whole
 //! process, not of an in-process handle.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -102,20 +104,20 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
     let daemon = Daemon::spawn(&spool);
     let addr = daemon.addr;
     let reference = {
-        let mut c = Client::connect(addr).unwrap();
+        let mut c = common::connect(addr);
         submit_ok(&mut c, &long_req())
     };
 
     let submitters: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
+                let mut c = common::connect(addr);
                 // the daemon dies mid-job: any reply (or none) is fine
                 let _ = c.submit(&long_req());
             })
         })
         .collect();
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     wait_until("all five jobs accepted", || {
         probe.stats().unwrap().submitted >= 5
     });
@@ -144,7 +146,7 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
 
     // life 2: same spool, fresh process — every unfinished job runs
     let daemon = Daemon::spawn(&spool);
-    let mut probe = Client::connect(daemon.addr).unwrap();
+    let mut probe = common::connect(daemon.addr);
     assert_eq!(
         probe.stats().unwrap().replayed,
         unfinished.len() as u64,
@@ -183,7 +185,7 @@ fn sigkilled_daemon_replays_every_accepted_job_byte_identically() {
     // the completed pairs are *retained* as idempotency memory (they
     // are what lets a restarted daemon dedupe resubmitted nonces)
     let daemon = Daemon::spawn(&spool);
-    let mut probe = Client::connect(daemon.addr).unwrap();
+    let mut probe = common::connect(daemon.addr);
     let stats = probe.stats().unwrap();
     assert_eq!(stats.replayed, 0, "done jobs stay done");
     let jobs = spool_ids(&spool, ".job");

@@ -3,6 +3,8 @@
 //! full queue rejects with a typed error, and drain refuses new work
 //! while finishing what was accepted.
 
+mod common;
+
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -36,7 +38,7 @@ fn submit_ok(client: &mut Client, req: &JobRequest) -> rfvd::proto::JobResult {
 #[test]
 fn daemon_results_match_a_direct_run_bytewise() {
     let server = test_server(1, 8);
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     for (spec, machine) in [
         ("VectorAdd", "full"),
         ("VectorAdd", "conventional"),
@@ -77,7 +79,7 @@ fn daemon_results_match_a_direct_run_bytewise() {
 #[test]
 fn repeat_kernels_hit_the_cache_and_optouts_bypass_it() {
     let server = test_server(1, 8);
-    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut c = common::connect(server.local_addr());
     let req = JobRequest {
         spec: "synth:regs=16,trips=2,tpc=64,ctas=1,conc=1".into(),
         num_sms: 1,
@@ -100,7 +102,7 @@ fn repeat_kernels_hit_the_cache_and_optouts_bypass_it() {
     assert_eq!(first.stats_json, third.stats_json);
 
     let stats = {
-        let mut s = Client::connect(server.local_addr()).unwrap();
+        let mut s = common::connect(server.local_addr());
         s.stats().unwrap()
     };
     assert_eq!(stats.completed, 3);
@@ -126,11 +128,11 @@ fn full_queue_rejects_with_queue_full() {
     // second in the single queue slot, and only then the overflow
     let spawn_runner = |req: JobRequest| {
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             submit_ok(&mut c, &req)
         })
     };
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let deadline = Instant::now() + Duration::from_secs(10);
 
     let first = spawn_runner(long.clone());
@@ -178,11 +180,11 @@ fn high_priority_jumps_the_queue() {
     let blocker = {
         let req = long.clone();
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             submit_ok(&mut c, &req)
         })
     };
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let deadline = Instant::now() + Duration::from_secs(10);
     while probe.stats().unwrap().active < 1 {
         assert!(Instant::now() < deadline, "blocker never started");
@@ -196,7 +198,7 @@ fn high_priority_jumps_the_queue() {
             ..JobRequest::default()
         };
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             let t0 = Instant::now();
             let r = submit_ok(&mut c, &req);
             (r, t0.elapsed())
@@ -216,7 +218,7 @@ fn high_priority_jumps_the_queue() {
             ..JobRequest::default()
         };
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             let t0 = Instant::now();
             let r = submit_ok(&mut c, &req);
             (r, t0.elapsed())
@@ -252,11 +254,11 @@ fn drain_finishes_accepted_work_and_refuses_new() {
     let accepted = {
         let req = long.clone();
         thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
+            let mut c = common::connect(addr);
             submit_ok(&mut c, &req)
         })
     };
-    let mut probe = Client::connect(addr).unwrap();
+    let mut probe = common::connect(addr);
     let deadline = Instant::now() + Duration::from_secs(10);
     while probe.stats().unwrap().active < 1 {
         assert!(Instant::now() < deadline, "accepted job never started");

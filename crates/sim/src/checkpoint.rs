@@ -131,9 +131,11 @@ impl Checkpoint {
         self.verify_identity_hashed(kernel_identity_hash(kernel), config)
     }
 
-    /// [`Checkpoint::verify_identity`] against an already-computed
-    /// [`kernel_identity_hash`] — callers that share a predecoded
-    /// image (which memoizes the hash) skip the program walk.
+    /// [`Checkpoint::verify_identity`] against a caller-supplied
+    /// [`kernel_identity_hash`], typically the memo of a shared
+    /// [`crate::PredecodedKernel::kernel_hash`]: the first checkpoint
+    /// or resume through an image walks the program, later ones reuse
+    /// the hash.
     ///
     /// # Errors
     ///

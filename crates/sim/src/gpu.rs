@@ -284,7 +284,10 @@ pub fn simulate_traced_checkpointed(
 pub struct SlicedSim<'k> {
     config: SimConfig,
     config_hash: u64,
-    kernel_hash: u64,
+    /// The kernel and its shared image: [`SlicedSim::checkpoint`]
+    /// asks the image for the identity hash, which it memoizes.
+    kernel: &'k CompiledKernel,
+    prog: Arc<PredecodedKernel>,
     sms: Vec<Sm<'k>>,
     done: Vec<bool>,
     /// The cycle boundary every live SM has been driven to.
@@ -338,7 +341,8 @@ impl<'k> SlicedSim<'k> {
         Ok(SlicedSim {
             config: *config,
             config_hash: config.stable_hash(),
-            kernel_hash: prog.kernel_hash(),
+            kernel,
+            prog,
             sms,
             done,
             cycle: 0,
@@ -377,7 +381,7 @@ impl<'k> SlicedSim<'k> {
         prog: Arc<PredecodedKernel>,
     ) -> Result<SlicedSim<'k>, SimError> {
         config.validate().map_err(SimError::BadConfig)?;
-        checkpoint.verify_identity_hashed(prog.kernel_hash(), config)?;
+        checkpoint.verify_identity_hashed(prog.kernel_hash(kernel), config)?;
         let mut sms = Vec::with_capacity(config.num_sms);
         for (sm_id, assigned) in cta_assignments(kernel, config).into_iter().enumerate() {
             let mut sm = Sm::with_predecoded(*config, kernel, assigned, Arc::clone(&prog))?;
@@ -391,7 +395,8 @@ impl<'k> SlicedSim<'k> {
         Ok(SlicedSim {
             config: *config,
             config_hash: checkpoint.config_hash,
-            kernel_hash: checkpoint.kernel_hash,
+            kernel,
+            prog,
             sms,
             done,
             cycle: checkpoint.cycle,
@@ -438,7 +443,7 @@ impl<'k> SlicedSim<'k> {
         Checkpoint {
             version: CKPT_VERSION,
             config_hash: self.config_hash,
-            kernel_hash: self.kernel_hash,
+            kernel_hash: self.prog.kernel_hash(self.kernel),
             cycle: self.cycle,
             sm_frames: self.sms.iter().map(Sm::snapshot_frame).collect(),
         }

@@ -1,5 +1,5 @@
 //! Kernel predecode: a dense, issue-ready program image built once
-//! per SM at construction.
+//! at launch and shared (behind an `Arc`) by every SM of a run.
 //!
 //! The fetch/issue hot path used to re-interpret [`ProgItem`]s every
 //! cycle — cloning each [`Instr`]'s heap-allocated operand `Vec`,
@@ -20,6 +20,8 @@
 //! Predecode is purely representational: field for field it is the
 //! same program the interpreter saw before, so issue order, timing,
 //! and every statistic are bit-identical.
+
+use std::sync::OnceLock;
 
 use rfv_compiler::CompiledKernel;
 use rfv_isa::kernel::ProgItem;
@@ -123,7 +125,9 @@ pub enum PdItem {
 pub struct PredecodedKernel {
     items: Vec<PdItem>,
     pbr_regs: Vec<ArchReg>,
-    kernel_hash: u64,
+    /// [`crate::checkpoint::kernel_identity_hash`] of the source
+    /// kernel, filled on first use by [`PredecodedKernel::kernel_hash`].
+    kernel_hash: OnceLock<u64>,
     /// Threaded-code lowering of `items` (see [`crate::sm::plan`]),
     /// built here so rfvd's compile cache and checkpoint resume share
     /// the plan for free alongside the image.
@@ -132,7 +136,8 @@ pub struct PredecodedKernel {
 
 impl PredecodedKernel {
     /// Predecodes `kernel` (see module docs). Cost is one pass over
-    /// the program, paid per SM at construction.
+    /// the program, paid once per image; the checkpoint identity hash
+    /// is not part of it (see [`PredecodedKernel::kernel_hash`]).
     pub fn new(kernel: &CompiledKernel) -> PredecodedKernel {
         let program = kernel.kernel();
         let mut items = Vec::with_capacity(program.len());
@@ -181,7 +186,7 @@ impl PredecodedKernel {
         PredecodedKernel {
             items,
             pbr_regs,
-            kernel_hash: crate::checkpoint::kernel_identity_hash(kernel),
+            kernel_hash: OnceLock::new(),
             plan,
         }
     }
@@ -192,13 +197,16 @@ impl PredecodedKernel {
         &self.plan
     }
 
-    /// [`crate::checkpoint::kernel_identity_hash`] of the source
-    /// kernel, memoized here because computing it walks (and formats)
-    /// the whole program — sharing the predecoded image across runs
-    /// also shares the hash, so checkpoint identity binding costs
-    /// nothing per run.
-    pub fn kernel_hash(&self) -> u64 {
-        self.kernel_hash
+    /// [`crate::checkpoint::kernel_identity_hash`] of `kernel`, which
+    /// must be the kernel this image was predecoded from. Computing it
+    /// walks (and formats) the whole program, so it is deferred until a
+    /// checkpoint is written or verified and then memoized: runs that
+    /// never checkpoint never pay for it, and every run sharing this
+    /// image pays for it at most once between them.
+    pub fn kernel_hash(&self, kernel: &CompiledKernel) -> u64 {
+        *self
+            .kernel_hash
+            .get_or_init(|| crate::checkpoint::kernel_identity_hash(kernel))
     }
 
     /// The item at `pc`.

@@ -157,10 +157,16 @@ impl MetricsRegistry {
 
     /// Records `value` into histogram `name` (creating it).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        // look up first, as `add` does: hot callers observe one name
+        // thousands of times, and `entry` would allocate a key each time
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.observe(value);
+        } else {
+            self.histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(value);
+        }
     }
 
     /// Current value of counter `name` (0 if absent).
